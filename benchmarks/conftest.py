@@ -9,11 +9,11 @@ separate non-blocking job); the heaviest end-to-end figure reproductions
 are additionally marked ``slow`` so tiers can be selected with ``-m``.
 """
 
-import contextlib
 import pathlib
 
-import numpy as np
 import pytest
+
+from helpers.moo_reference import nsga_reference_patch
 
 _BENCH_DIR = pathlib.Path(__file__).parent
 
@@ -52,87 +52,6 @@ def report(title: str, result: dict, keys=None) -> None:
         if isinstance(mv, float):
             mv = round(mv, 3)
         print(f"  {key:<40s} paper={pv!s:>14s}  measured={mv!s:>14s}")
-
-
-@contextlib.contextmanager
-def nsga_reference_patch():
-    """Swap the NSGA-II hot path back to the pre-kernel reference loops.
-
-    Restores the per-individual evaluate loop, the scalar per-violation
-    repair loop, the per-front rank/crowding loops, and the
-    recompute-from-scratch truncation — the implementations the
-    population-flat kernels replaced.  The references consume the same
-    RNG streams, so a patched run returns bit-identical results and the
-    only difference a before/after timing sees is the kernels.
-    """
-    from repro.moo import crowding_distance, fast_non_dominated_sort
-    from repro.moo.nsga2 import NSGA2
-    from repro.scheduler.formulation import (
-        SchedulingProblem,
-        evaluate_reference,
-        repair_reference,
-    )
-
-    def ref_evaluate(self, X):
-        return evaluate_reference(self.data, X)
-
-    def ref_repair(self, X):
-        lists = self.__dict__.get("_ref_feasible_lists")
-        if lists is None:
-            # The pre-kernel problem built these once in __init__; cache
-            # per instance so the "before" arm isn't charged for rebuilds.
-            lists = [
-                np.where(self.data.feasible[i])[0]
-                for i in range(self.data.num_jobs)
-            ]
-            self.__dict__["_ref_feasible_lists"] = lists
-        return repair_reference(self.data, X, self._rng, lists)
-
-    def ref_rank_and_crowd(self, F):
-        fronts = fast_non_dominated_sort(F)
-        rank = np.empty(len(F), dtype=np.int64)
-        crowd = np.empty(len(F))
-        for r, front in enumerate(fronts):
-            rank[front] = r
-            crowd[front] = crowding_distance(F[front])
-        return rank, crowd
-
-    def ref_truncate(self, X, F):
-        fronts = fast_non_dominated_sort(F)
-        chosen, count = [], 0
-        for front in fronts:
-            if count + len(front) <= self.pop_size:
-                chosen.append(front)
-                count += len(front)
-            else:
-                crowd = crowding_distance(F[front])
-                order = np.argsort(-crowd, kind="stable")
-                chosen.append(front[order[: self.pop_size - count]])
-                break
-        idx = np.concatenate(chosen)
-        Xs, Fs = X[idx], F[idx]
-        rank, crowd = self._rank_and_crowd(Fs)
-        return Xs, Fs, rank, crowd
-
-    saved = (
-        SchedulingProblem.evaluate,
-        SchedulingProblem.repair,
-        NSGA2._rank_and_crowd,
-        NSGA2._truncate,
-    )
-    try:
-        SchedulingProblem.evaluate = ref_evaluate
-        SchedulingProblem.repair = ref_repair
-        NSGA2._rank_and_crowd = ref_rank_and_crowd
-        NSGA2._truncate = ref_truncate
-        yield
-    finally:
-        (
-            SchedulingProblem.evaluate,
-            SchedulingProblem.repair,
-            NSGA2._rank_and_crowd,
-            NSGA2._truncate,
-        ) = saved
 
 
 @pytest.fixture

@@ -156,6 +156,26 @@ class SimulationConfig:
     recalibrate_every_seconds: float | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # A non-positive sample or recalibration period re-arms its event
+        # at the same instant forever, so ``run()`` would never return.
+        # ``not x > 0`` also rejects NaN.
+        if not self.duration_seconds > 0:
+            raise ValueError(
+                f"duration_seconds must be > 0, got {self.duration_seconds!r}"
+            )
+        if not self.sample_every_seconds > 0:
+            raise ValueError(
+                f"sample_every_seconds must be > 0, got {self.sample_every_seconds!r}"
+            )
+        if self.recalibrate_every_seconds is not None and not (
+            self.recalibrate_every_seconds > 0
+        ):
+            raise ValueError(
+                "recalibrate_every_seconds must be > 0 or None, got "
+                f"{self.recalibrate_every_seconds!r}"
+            )
+
 
 @dataclass
 class _InFlightBatch:

@@ -12,7 +12,6 @@ from .problem import Problem
 from .sorting import (
     crowding_by_rank,
     crowding_distance,
-    dominates_matrix,
     fast_non_dominated_sort,
     front_ranks,
     pareto_front_mask,
@@ -23,7 +22,6 @@ __all__ = [
     "Problem",
     "crowding_by_rank",
     "crowding_distance",
-    "dominates_matrix",
     "fast_non_dominated_sort",
     "front_ranks",
     "pareto_front_mask",

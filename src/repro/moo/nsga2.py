@@ -135,8 +135,8 @@ class NSGA2:
     def _truncate(self, X: np.ndarray, F: np.ndarray):
         """Elitist truncation to ``pop_size`` by (front, crowding).
 
-        One domination matrix per selection: fronts are peeled into a
-        rank vector (:func:`front_ranks`) and crowding for every front
+        One sort-and-sweep per selection: fronts come out as a rank
+        vector (:func:`front_ranks`) and crowding for every front
         comes from the single ranked sweep (:func:`crowding_by_rank`)
         shared with :meth:`_rank_and_crowd` — no per-front Python loop
         and no re-sorting of the truncated set (every survivor in front
@@ -159,7 +159,7 @@ class NSGA2:
         idx = by_rank[:n_full]
         n_rest = self.pop_size - n_full
         if n_rest > 0:
-            front = np.where(rank_all == r_split)[0]
+            front = by_rank[n_full : cum[r_split]]  # position-ordered
             order = np.argsort(-crowd_all[front], kind="stable")
             idx = np.concatenate([idx, front[order[:n_rest]]])
         Xs, Fs = X[idx], F[idx]

@@ -31,10 +31,8 @@ def tournament_selection(
     n = len(rank)
     a = rng.integers(0, n, n_parents)
     b = rng.integers(0, n, n_parents)
-    better_rank = rank[a] < rank[b]
-    tie = rank[a] == rank[b]
-    better_crowd = crowding[a] >= crowding[b]
-    pick_a = better_rank | (tie & better_crowd)
+    ra, rb = rank[a], rank[b]
+    pick_a = (ra < rb) | ((ra == rb) & (crowding[a] >= crowding[b]))
     return np.where(pick_a, a, b)
 
 
@@ -59,10 +57,11 @@ def exponential_crossover(
     shape = pa.shape
     beta = rng.exponential(beta_scale, shape)
     do = rng.random(shape) < rate
-    c1 = np.where(do, 0.5 * ((1 + beta) * pa + (1 - beta) * pb), pa)
-    c2 = np.where(do, 0.5 * ((1 - beta) * pa + (1 + beta) * pb), pb)
-    c1 = np.clip(np.rint(c1), lower, upper).astype(np.int64)
-    c2 = np.clip(np.rint(c2), lower, upper).astype(np.int64)
+    up, down = 1 + beta, 1 - beta
+    c1 = np.where(do, 0.5 * (up * pa + down * pb), pa)
+    c2 = np.where(do, 0.5 * (down * pa + up * pb), pb)
+    c1 = np.minimum(np.maximum(np.rint(c1), lower), upper).astype(np.int64)
+    c2 = np.minimum(np.maximum(np.rint(c2), lower), upper).astype(np.int64)
     return c1, c2
 
 
@@ -81,13 +80,17 @@ def polynomial_mutation(
     the polynomial distribution with index ``eta``; larger eta keeps
     children closer to the parent ("within a parent's vicinity").
     """
-    X = X.astype(float)
+    mutated = X.astype(float, order="C")
     n_var = X.shape[1]
     p = 1.0 / n_var if rate is None else rate
     span = (upper - lower).astype(float)
     span[span == 0] = 1.0
+    # Both draws stay full-shape so the stream advances the same way
+    # whatever the rate; delta is only evaluated at the mutated genes
+    # (flat indices into the row-major population).
     u = rng.random(X.shape)
-    do = rng.random(X.shape) < p
+    idx = np.flatnonzero(rng.random(X.shape) < p)
+    u = u.ravel()[idx]
     # delta in [-1, 1] with polynomial density.
     exp = 1.0 / (eta + 1.0)
     delta = np.where(
@@ -95,5 +98,6 @@ def polynomial_mutation(
         (2.0 * u) ** exp - 1.0,
         1.0 - (2.0 * (1.0 - u)) ** exp,
     )
-    mutated = X + do * delta * span
-    return np.clip(np.rint(mutated), lower, upper).astype(np.int64)
+    mutated.ravel()[idx] += delta * span[idx % n_var]
+    np.rint(mutated, out=mutated)
+    return np.minimum(np.maximum(mutated, lower), upper).astype(np.int64)

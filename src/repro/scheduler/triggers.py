@@ -32,6 +32,16 @@ class SchedulingTrigger:
     _last_fired: float = 0.0
     _hold_armed: bool = field(default=False, repr=False)
 
+    def __post_init__(self) -> None:
+        # A non-positive interval re-arms the deadline at the instant it
+        # fires, so the event loop would never advance past it.
+        if not self.interval_seconds > 0:
+            raise ValueError(
+                f"interval_seconds must be > 0, got {self.interval_seconds!r}"
+            )
+        if self.queue_limit < 1:
+            raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit!r}")
+
     def should_fire(self, queue_size: int, now: float) -> bool:
         if queue_size <= 0:
             return False

@@ -409,6 +409,30 @@ class TestCloudSimulator:
         assert fleet[0].cycle >= 2
 
 
+class TestConfigValidation:
+    """Non-positive periods used to make ``run()`` re-arm one event at the
+    same instant forever; they now fail at construction, naming the knob."""
+
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_non_positive_sample_period_rejected(self, value):
+        with pytest.raises(ValueError, match="sample_every_seconds"):
+            SimulationConfig(sample_every_seconds=value)
+
+    @pytest.mark.parametrize("value", [0, -60.0])
+    def test_non_positive_recalibration_period_rejected(self, value):
+        with pytest.raises(ValueError, match="recalibrate_every_seconds"):
+            SimulationConfig(recalibrate_every_seconds=value)
+
+    @pytest.mark.parametrize("value", [0, -1.0, float("nan")])
+    def test_non_positive_duration_rejected(self, value):
+        with pytest.raises(ValueError, match="duration_seconds"):
+            SimulationConfig(duration_seconds=value)
+
+    def test_defaults_and_disabled_recalibration_accepted(self):
+        cfg = SimulationConfig(recalibrate_every_seconds=None)
+        assert cfg.sample_every_seconds > 0
+
+
 class TestImbalance:
     def test_greedy_users_create_hotspots(self):
         fleet = default_fleet(seed=9, names=["algiers", "cairo", "hanoi", "kolkata"])

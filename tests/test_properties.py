@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from helpers import moo_reference
 from repro.circuits import Circuit, compute_metrics
 from repro.mitigation import fold_to_factor, zne_infer_probs
 from repro.mitigation.rem import _simplex_project
@@ -166,6 +167,9 @@ def test_fronts_partition_population(F):
     fronts = fast_non_dominated_sort(F)
     flat = np.concatenate(fronts)
     assert sorted(flat.tolist()) == list(range(len(F)))
+    expected = moo_reference.fronts(F)
+    assert len(fronts) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(fronts, expected))
 
 
 @settings(max_examples=50, deadline=None)
@@ -174,6 +178,7 @@ def test_first_front_is_non_dominated(F):
     fronts = fast_non_dominated_sort(F)
     mask = pareto_front_mask(F)
     assert set(fronts[0]) == set(np.where(mask)[0])
+    assert np.array_equal(mask, moo_reference.pareto_front_mask(F))
 
 
 @settings(max_examples=50, deadline=None)

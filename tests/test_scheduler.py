@@ -350,6 +350,18 @@ class TestTrigger:
         trig = SchedulingTrigger(queue_limit=1, interval_seconds=1)
         assert not trig.should_fire(0, now=1e9)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_interval_rejected(self, value):
+        # A zero or negative interval re-armed the trigger deadline at the
+        # instant it fired, so the simulator's run() never returned.
+        with pytest.raises(ValueError, match="interval_seconds"):
+            SchedulingTrigger(interval_seconds=value)
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_queue_limit_below_one_rejected(self, value):
+        with pytest.raises(ValueError, match="queue_limit"):
+            SchedulingTrigger(queue_limit=value)
+
 
 class TestCalibrationCrossover:
     def _schedule(self, fleet):
