@@ -767,7 +767,7 @@ def test_perf_batched_estimates():
 
 
 # ---------------------------------------------------------------------------
-# Vectorized NSGA-II kernels + cross-cycle Pareto warm-starting
+# Vectorized NSGA-II kernels
 # ---------------------------------------------------------------------------
 
 def _best_of(fn, *, repeats=5, inner=20):
@@ -781,62 +781,21 @@ def _best_of(fn, *, repeats=5, inner=20):
     return best
 
 
-def _warm_cycle_scenario(warm_start, jobs, fleet, *, cycles=8, seed=3):
-    """Drive ``cycles`` scheduling cycles over a churning pending queue.
-
-    Estimates come from a low-cardinality closed form (fidelity depends
-    only on circuit width and QPU name length), which is the regime where
-    the tolerance window actually fires before the generation cap — the
-    trained estimator's richer estimate surface keeps the ideal point
-    moving and every run exhausts ``max_generations``, telling the
-    warm-start comparison nothing.  Churn keeps 2/3 of the queue pending
-    across cycles (the paper's steady state), so most genes carry over.
-    ``jobs`` must be shared across arms: cross-arm schedule comparisons
-    go by ``job_id``, which is allocated globally at job creation.
-    """
-
-    def structured_est(job, qpu):
-        return 0.5 + 0.4 / (1 + job.num_qubits + len(qpu.name)), (
-            10.0 + job.num_qubits
-        )
-
-    sched = QonductorScheduler(
-        structured_est, seed=seed, max_generations=60, warm_start=warm_start
-    )
-    pending, fresh = list(jobs[:60]), 60
-    generations, schedules = [], []
-    for _ in range(cycles):
-        plan = sched.begin_cycle(
-            pending, fleet, {q.name: 0.0 for q in fleet}
-        )
-        res = run_optimization(plan.task)
-        schedule = sched.finish_cycle(plan, res)
-        generations.append(res.generations)
-        schedules.append(
-            [(d.job.job_id, d.qpu_name) for d in schedule.decisions]
-        )
-        pending = pending[20:] + jobs[fresh : fresh + 10]
-        fresh += 10
-    return generations, schedules
-
-
 def test_perf_nsga_kernels():
     """The vectorized-MOO gate: the population-flat evaluate kernel must
     beat the per-individual reference loop by >=5x at a realistic cycle
     shape (single-thread vectorization — no core count required), while
     staying bit-identical; the artifact additionally records end-to-end
-    ``run_optimization`` wall clock with and without the kernels and the
-    warm-vs-cold generation counts of a churning multi-cycle scenario."""
+    ``run_optimization`` wall clock with and without the kernels."""
     import numpy as np
 
     from conftest import nsga_reference_patch
+    from helpers.moo_reference import evaluate_reference, repair_reference
     from repro.cloud.job import QuantumJob
     from repro.scheduler.formulation import (
         SchedulingInput,
         evaluate_population,
-        evaluate_reference,
         repair_population,
-        repair_reference,
     )
     from repro.workloads import WorkloadSampler
 
@@ -893,22 +852,6 @@ def test_perf_nsga_kernels():
     assert np.array_equal(before.F, after.F)
     assert before.generations == after.generations
 
-    # -- 3. cross-cycle Pareto warm-starting (opt-in) -------------------
-    churn_sampler = WorkloadSampler(
-        mean_qubits=8, std_qubits=4, max_qubits=27, seed=9
-    )
-    churn_jobs = [
-        QuantumJob.from_circuit(s.circuit, shots=s.shots, keep_circuit=False)
-        for s in churn_sampler.sample_many(200)
-    ]
-    cold_gens, cold_schedules = _warm_cycle_scenario(
-        False, churn_jobs, fleet
-    )
-    warm_gens, warm_schedules = _warm_cycle_scenario(True, churn_jobs, fleet)
-    warm_gens2, warm_schedules2 = _warm_cycle_scenario(
-        True, churn_jobs, fleet
-    )
-
     result = {
         "paper": {},
         "measured": {
@@ -930,21 +873,10 @@ def test_perf_nsga_kernels():
                 ),
                 "bit_identical": True,
             },
-            "warm_start": {
-                "cycles": len(cold_gens),
-                "cold_generations": cold_gens,
-                "warm_generations": warm_gens,
-                "cold_total": sum(cold_gens),
-                "warm_total": sum(warm_gens),
-                "deterministic": bool(
-                    warm_gens == warm_gens2
-                    and warm_schedules == warm_schedules2
-                ),
-            },
         },
     }
     report(
-        "Perf: vectorized NSGA-II kernels + Pareto warm-starting",
+        "Perf: vectorized NSGA-II kernels",
         result,
         keys=list(result["measured"]),
     )
@@ -959,9 +891,3 @@ def test_perf_nsga_kernels():
         f"({ref_seconds * 1e3:.3f}ms reference vs "
         f"{kernel_seconds * 1e3:.3f}ms kernel)"
     )
-    # Warm-starting is opt-in and must change nothing structural: it is
-    # deterministic, and the first cycle (no memory yet) is identical to
-    # the cold run bit for bit.
-    assert result["measured"]["warm_start"]["deterministic"]
-    assert warm_schedules[0] == cold_schedules[0]
-    assert warm_gens[0] == cold_gens[0]

@@ -26,7 +26,7 @@ def run(num_qpus: int, rate: float) -> dict:
     sim = CloudSimulator(
         fleet,
         QonductorScheduler(
-            estimator.estimate_for_qpu, preference="balanced", seed=3,
+            estimator.cached(), preference="balanced", seed=3,
             max_generations=20,
         ),
         ExecutionModel(seed=9),

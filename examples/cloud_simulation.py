@@ -32,11 +32,11 @@ def run_policy(policy_name: str, estimator, duration: float, rate: float) -> dic
     apps = LoadGenerator(mean_rate_per_hour=rate, seed=5).generate(duration)
     if policy_name == "qonductor":
         policy = QonductorScheduler(
-            estimator.estimate_for_qpu, preference="balanced", seed=5,
+            estimator.cached(), preference="balanced", seed=5,
             max_generations=25,
         )
     else:
-        policy = FCFSPolicy(estimator.estimate_for_qpu)
+        policy = FCFSPolicy(estimator.cached())
     sim = CloudSimulator(
         fleet,
         policy,

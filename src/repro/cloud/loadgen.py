@@ -29,6 +29,7 @@ always did, so existing seeded scenarios are bit-identical.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -64,6 +65,11 @@ def diurnal_rate(
     amplitude = (hi - lo) / 2.0 * scale
     rate = mean_rate + amplitude * np.sin((hour_of_day - 8.0) / 24.0 * 2 * np.pi)
     return float(np.clip(rate, lo * scale, hi * scale))
+
+
+def _require_finite_above(name: str, value: float, bound: float) -> None:
+    if not (value > bound and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and > {bound:g}, got {value!r}")
 
 
 @dataclass
@@ -107,6 +113,25 @@ class LoadGenerator:
     tenants: tuple[TenantShare, ...] | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # A zero, negative, infinite or NaN rate or holding time makes the
+        # arrival loop stall at one instant (or draw NaN gaps) forever, so
+        # ``generate`` would never return.  ``not x > 0`` also rejects NaN.
+        if self.arrival_process not in ("poisson", "mmpp"):
+            raise ValueError(
+                f"unknown arrival_process {self.arrival_process!r}; "
+                "choose 'poisson' or 'mmpp'"
+            )
+        _require_finite_above("mean_rate_per_hour", self.mean_rate_per_hour, 0.0)
+        if self.arrival_process == "mmpp":
+            _require_finite_above(
+                "burst_rate_multiplier", self.burst_rate_multiplier, 1.0
+            )
+            _require_finite_above("mean_calm_seconds", self.mean_calm_seconds, 0.0)
+            _require_finite_above(
+                "mean_burst_seconds", self.mean_burst_seconds, 0.0
+            )
+
     def _make_sampler(self) -> WorkloadSampler:
         return WorkloadSampler(
             mean_qubits=self.mean_qubits,
@@ -127,11 +152,6 @@ class LoadGenerator:
         Holds O(circuit_pool_size) state; with no pool, O(1) applications
         are alive at a time (whatever the consumer retains).
         """
-        if self.arrival_process not in ("poisson", "mmpp"):
-            raise ValueError(
-                f"unknown arrival_process {self.arrival_process!r}; "
-                "choose 'poisson' or 'mmpp'"
-            )
         rng = np.random.default_rng(self.seed)
         sampler = self._make_sampler()
         # Tenant stamping draws from its own substream: the job/arrival
@@ -158,14 +178,6 @@ class LoadGenerator:
         burst = False
         next_flip = float("inf")
         if self.arrival_process == "mmpp":
-            if self.burst_rate_multiplier <= 1.0:
-                raise ValueError("burst_rate_multiplier must be > 1")
-            if self.mean_calm_seconds <= 0 or self.mean_burst_seconds <= 0:
-                # A zero holding time pins simulated time at the flip
-                # instant and the chain toggles forever without yielding.
-                raise ValueError(
-                    "mean_calm_seconds and mean_burst_seconds must be > 0"
-                )
             next_flip = rng.exponential(self.mean_calm_seconds)
         t = 0.0
         while True:

@@ -617,8 +617,8 @@ class CloudSimulator:
         """Merge estimate-cache counters across the shards' policies."""
         stats_by_id: dict[int, object] = {}
         for shard in self.shards:
-            fn = getattr(shard.policy, "estimate_fn", None)
-            stats = getattr(fn, "stats", None)
+            source = getattr(shard.policy, "source", None)
+            stats = getattr(source, "stats", None)
             if stats is not None:
                 stats_by_id[id(stats)] = stats
         if not stats_by_id:

@@ -3,12 +3,7 @@ regression models, numerical baseline, cost model, and plan generation."""
 
 from .cache import CachedEstimator, CacheStats, EstimateCache
 from .cost import TABLE1_RATES, ResourceRates, plan_cost
-from .source import (
-    EstimateSource,
-    PairwiseEstimateSource,
-    as_estimate_source,
-    block_feasibility,
-)
+from .source import EstimateSource, block_feasibility
 from .dataset import EstimatorDataset, generate_dataset
 from .estimator import ResourceEstimator
 from .features import (
@@ -24,8 +19,6 @@ from .plans import ResourcePlan, generate_resource_plans
 
 __all__ = [
     "EstimateSource",
-    "PairwiseEstimateSource",
-    "as_estimate_source",
     "block_feasibility",
     "FIDELITY_FEATURE_NAMES",
     "RUNTIME_FEATURE_NAMES",

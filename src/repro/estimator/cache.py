@@ -8,21 +8,19 @@ recalibration boundaries. Estimator predictions are therefore memoizable on
 
 where the epoch is ``(qpu_name, calibration cycle)``. A recalibration bumps
 the cycle, so stale entries can never be served; :meth:`on_recalibration`
-additionally drops them to bound memory and refreshes the wrapped
-estimator's templates.
+additionally drops them to bound memory and forwards the event to the
+wrapped estimator (which refreshes its templates).
 
 :class:`CachedEstimator` is a full :class:`~repro.estimator.source.EstimateSource`:
-it is callable with ``(job, qpu)`` for sequential consumers and implements
-the batched :meth:`estimate_block` fast path that
+it implements the batched :meth:`estimate_block` fast path that
 :class:`~repro.scheduler.quantum.QonductorScheduler` and the baseline
-policies drive directly (``estimate_matrix`` remains as a deprecated
-alias).
+policies drive directly, and stays callable with ``(job, qpu)`` for
+sequential consumers.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +31,7 @@ from ..backends.qpu import QPU
 from ..circuits.metrics import CircuitMetrics
 from ..cloud.job import QuantumJob, feasibility_matrix
 from .features import job_fidelity_features, job_runtime_features
+from .source import EstimateSource
 
 __all__ = ["CacheStats", "EstimateCache", "CachedEstimator"]
 
@@ -263,8 +262,8 @@ class CachedEstimator:
         self._last_epochs = epochs
         self.cache.invalidate()
         self._job_rows.clear()
-        if hasattr(self.base, "refresh_templates"):
-            self.base.refresh_templates(qpus)
+        if isinstance(self.base, EstimateSource):
+            self.base.on_recalibration(qpus)
         if self._on_invalidate is not None:
             self._on_invalidate(qpus)
 
@@ -346,18 +345,3 @@ class CachedEstimator:
                     fid[i, k], sec[i, k] = value
                     self.cache.put(keys[i * m + k], value)
         return fid, sec
-
-    def estimate_matrix(
-        self,
-        jobs: list[QuantumJob],
-        qpus: list[QPU],
-        feasible: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Deprecated alias for :meth:`estimate_block`."""
-        warnings.warn(
-            "CachedEstimator.estimate_matrix is deprecated; use "
-            "estimate_block",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.estimate_block(jobs, qpus, feasible)

@@ -55,6 +55,11 @@ class ResourceEstimator:
         """Re-average template calibrations (call after calibration cycles)."""
         self.templates = build_templates(fleet)
 
+    def on_recalibration(self, qpus: list[QPU]) -> None:
+        """The :class:`~repro.estimator.source.EstimateSource` hook:
+        refresh the templates from the new calibration data."""
+        self.refresh_templates(qpus)
+
     # ------------------------------------------------------------------
     def estimate_for_qpu(self, job: QuantumJob, qpu: QPU) -> tuple[float, float]:
         """(fidelity, quantum_seconds) for ``job`` on a concrete device."""
@@ -103,7 +108,7 @@ class ResourceEstimator:
         return fid, sec
 
     def cached(self, **kwargs) -> "CachedEstimator":
-        """A memoizing, batch-capable ``estimate_fn`` view of this estimator."""
+        """A memoizing view of this estimator (an ``EstimateSource``)."""
         from .cache import CachedEstimator
 
         return CachedEstimator(self, **kwargs)

@@ -12,6 +12,8 @@ CV) and final mean JCT.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..backends.fleet import make_fleet
 from ..cloud import (
     CloudSimulator,
@@ -22,6 +24,7 @@ from ..cloud import (
     ThresholdRebalancePolicy,
     flash_outage,
 )
+from ..estimator.source import block_feasibility
 from ..scheduler import BatchedFCFSPolicy, SchedulingTrigger
 
 __all__ = [
@@ -46,14 +49,29 @@ SKEW_FLEET_SPEC = [
 ]
 
 
-def skew_estimate(job, qpu):
+class _SkewEstimate:
     """Deterministic (width, device) synthetic estimates.
 
     Depends only on the job's width and the device name — never on job
     identity — so every arm scores every job identically and FCFS still
-    spreads over a shard's devices (per-width best device varies)."""
-    salt = (job.num_qubits * 131 + sum(qpu.name.encode())) % 97
-    return 0.6 + 0.3 * salt / 97.0, 12.0
+    spreads over a shard's devices (per-width best device varies).
+    Stateless, so one instance serves every arm."""
+
+    def estimate_block(self, jobs, qpus, feasible=None):
+        if feasible is None:
+            feasible = block_feasibility(jobs, qpus)
+        widths = np.array([j.num_qubits for j in jobs], dtype=np.int64)
+        names = np.array([sum(q.name.encode()) for q in qpus], dtype=np.int64)
+        salt = (widths[:, None] * 131 + names[None, :]) % 97
+        fid = np.where(feasible, 0.6 + 0.3 * salt / 97.0, 0.0)
+        return fid, np.where(feasible, 12.0, 0.0)
+
+    def on_recalibration(self, qpus):
+        """Nothing depends on calibration data."""
+
+
+#: The estimate source of the skew and tenant studies.
+skew_estimate = _SkewEstimate()
 
 
 def skew_scenario(

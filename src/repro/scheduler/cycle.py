@@ -65,16 +65,7 @@ def cycle_seed(
 
 @dataclass(frozen=True)
 class OptimizationTask:
-    """Everything one optimization-stage run needs, picklable.
-
-    ``warm_X`` optionally carries the previous cycle's Pareto
-    assignments, remapped to this cycle's job/QPU indexing by
-    :meth:`~repro.scheduler.quantum.QonductorScheduler.begin_cycle`
-    (``-1`` marks genes with no carry-over).  It is part of the task
-    snapshot, so the optimization stage stays a pure function of the
-    task — warm-started cycles are just as deterministic and
-    backend-independent as cold ones.
-    """
+    """Everything one optimization-stage run needs, picklable."""
 
     data: SchedulingInput
     pop_size: int
@@ -82,7 +73,6 @@ class OptimizationTask:
     base_seed: int
     shard_id: int
     cycle_index: int
-    warm_X: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -108,7 +98,7 @@ def run_optimization(task: OptimizationTask) -> OptimizationResult:
     t0 = time.perf_counter()
     root = cycle_seed(task.base_seed, task.shard_id, task.cycle_index)
     repair_seed, ga_seed = root.spawn(2)
-    problem = SchedulingProblem(task.data, seed=repair_seed, warm=task.warm_X)
+    problem = SchedulingProblem(task.data, seed=repair_seed)
     algo = NSGA2(pop_size=task.pop_size, seed=ga_seed)
     result = algo.minimize(
         problem, Termination(max_generations=task.max_generations)

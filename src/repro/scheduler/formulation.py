@@ -17,9 +17,8 @@ the pluggable array backend (:mod:`repro.simulation.array_ops`):
 one offset-encoded segment sum instead of ``pop`` Python iterations, and
 :func:`repair_population` projects every infeasible gene with one
 bounded-integer draw per violation in row-major order — bit-identical to
-the scalar reference loops (:func:`evaluate_reference` /
-:func:`repair_reference`), which the tests and the
-``test_perf_nsga_kernels`` gate keep pinned.
+the scalar per-individual loops they replaced, which the tests keep as
+references (``tests/helpers/moo_reference.py``).
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ __all__ = [
     "pack_feasible",
     "evaluate_population",
     "repair_population",
-    "evaluate_reference",
-    "repair_reference",
 ]
 
 
@@ -108,9 +105,9 @@ def evaluate_population(
     offset-encoded segment sum (individual ``p``'s genes land in bins
     ``[p * Q, (p + 1) * Q)``), so the per-generation objective pass is
     one vectorized kernel instead of ``pop`` Python-level ``bincount``
-    iterations.  Bit-identical to :func:`evaluate_reference`: the flat
+    iterations.  Bit-identical to the per-individual loop: the flat
     segment sum accumulates each bin's weights in the same row-major
-    order the per-individual ``bincount`` does, and the row means reduce
+    order a per-individual ``bincount`` does, and the row means reduce
     the same contiguous values.
     """
     b = backend if backend is not None else make_array_backend()
@@ -145,9 +142,8 @@ def repair_population(
 
     All violations are located with one mask pass and repaired with one
     bounded-integer draw per violation in row-major ``(individual,
-    gene)`` order — the exact order, bounds, and bit stream of the
-    scalar per-violation loop (:func:`repair_reference`), so seeded runs
-    are unchanged by the batching.
+    gene)`` order — the exact order, bounds, and bit stream of a scalar
+    per-violation loop, so seeded runs are unchanged by the batching.
     """
     b = backend if backend is not None else make_array_backend()
     X = np.clip(X, 0, data.num_qpus - 1)
@@ -163,66 +159,14 @@ def repair_population(
     return X
 
 
-def evaluate_reference(data: SchedulingInput, X: np.ndarray) -> np.ndarray:
-    """The per-individual objective loop :func:`evaluate_population`
-    replaced — kept as the regression/benchmark reference."""
-    pop, n = X.shape
-    q = data.num_qpus
-    rows = np.arange(n)
-    F = np.empty((pop, 2))
-    exec_sel = data.exec_seconds[rows[None, :], X]  # (pop, N)
-    fid_sel = data.fidelity[rows[None, :], X]
-    wait_sel = data.waiting_seconds[X]
-    for p in range(pop):
-        # Total batch execution time landing on each QPU.
-        totals = np.bincount(X[p], weights=exec_sel[p], minlength=q)
-        jct = wait_sel[p] + totals[X[p]]
-        F[p, 0] = jct.mean()
-        F[p, 1] = 1.0 - fid_sel[p].mean()
-    return F
-
-
-def repair_reference(
-    data: SchedulingInput,
-    X: np.ndarray,
-    rng: np.random.Generator,
-    feasible_lists: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """The scalar per-violation repair loop :func:`repair_population`
-    replaced — kept as the regression/benchmark reference."""
-    if feasible_lists is None:
-        feasible_lists = [
-            np.where(data.feasible[i])[0] for i in range(data.num_jobs)
-        ]
-    X = np.clip(X, 0, data.num_qpus - 1)
-    bad = ~data.feasible[np.arange(data.num_jobs)[None, :], X]
-    if bad.any():
-        for p, i in zip(*np.nonzero(bad)):
-            options = feasible_lists[i]
-            X[p, i] = options[int(rng.integers(len(options)))]
-    return X
-
-
 class SchedulingProblem(Problem):
-    """Integer-encoded Eq. 1 instance over a :class:`SchedulingInput`.
-
-    ``warm`` optionally seeds the initial population with cross-cycle
-    Pareto assignments (see
-    :meth:`~repro.scheduler.quantum.QonductorScheduler.begin_cycle`): a
-    ``(k, N)`` integer array whose entries are either a feasible QPU
-    index for the job or ``-1`` for "no carry-over" (new jobs, vanished
-    QPUs).  Warm rows replace random individuals after the two objective
-    extremes; missing genes fill from the extremes and the random draw,
-    cycling per row, so the warm population never consumes extra RNG and
-    stays a pure function of ``(data, seed, warm)``.
-    """
+    """Integer-encoded Eq. 1 instance over a :class:`SchedulingInput`."""
 
     def __init__(
         self,
         data: SchedulingInput,
         seed: int | np.random.SeedSequence = 0,
         *,
-        warm: np.ndarray | None = None,
         backend: ArrayBackend | str | None = None,
     ) -> None:
         super().__init__(
@@ -233,25 +177,6 @@ class SchedulingProblem(Problem):
         self._backend = make_array_backend(backend)
         # Flat feasible-QPU index arrays for the batched repair kernel.
         self._packed = pack_feasible(data.feasible)
-        self._warm = self._validate_warm(warm)
-
-    def _validate_warm(self, warm: np.ndarray | None) -> np.ndarray | None:
-        if warm is None:
-            return None
-        warm = np.asarray(warm, dtype=np.int64)
-        if warm.ndim != 2 or warm.shape[1] != self.n_var:
-            raise ValueError(
-                f"warm-start rows must be (k, {self.n_var}), got {warm.shape}"
-            )
-        known = warm >= 0
-        cols = np.broadcast_to(np.arange(self.n_var), warm.shape)
-        if known.any():
-            if warm[known].max() >= self.data.num_qpus:
-                raise ValueError("warm-start gene out of QPU range")
-            if not self.data.feasible[cols[known], warm[known]].all():
-                raise ValueError("warm-start genes must be feasible or -1")
-        warm = warm[known.any(axis=1)]
-        return warm if len(warm) else None
 
     # ------------------------------------------------------------------
     def evaluate(self, X: np.ndarray) -> np.ndarray:
@@ -270,10 +195,6 @@ class SchedulingProblem(Problem):
         minimum JCT (the completion-time extreme). Seeding both stretches
         the initial front across the whole tradeoff, which plain random
         integer initialization cannot reach for batch sizes of ~100 genes.
-
-        With warm-start rows, slots after the extremes are overwritten by
-        the previous cycle's Pareto assignments (missing genes fall back
-        to the extremes / the random draw already in the slot).
         """
         X = rng.integers(0, self.data.num_qpus, size=(n, self.n_var))
         X = self.repair(X)
@@ -295,21 +216,6 @@ class SchedulingProblem(Problem):
                 greedy[i] = q
                 load[q] += data.exec_seconds[i, q]
             X[1] = greedy
-        if self._warm is not None and n > 2:
-            k = min(len(self._warm), n - 2)
-            W = self._warm[:k]
-            missing = W < 0
-            # Fill missing genes from the fidelity extreme, the JCT
-            # extreme, and the feasible random draw already in the slot,
-            # cycling per warm row — deterministic, no extra RNG draws,
-            # and every fill is feasible so no repair pass is needed.
-            mode = np.arange(k) % 3
-            base = np.where(
-                (mode == 0)[:, None],
-                X[0][None, :],
-                np.where((mode == 1)[:, None], X[1][None, :], X[2 : 2 + k]),
-            )
-            X[2 : 2 + k] = np.where(missing, base, W)
         return X
 
     # ------------------------------------------------------------------

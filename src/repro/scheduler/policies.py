@@ -11,18 +11,14 @@
 * :class:`LeastBusyPolicy` — IBM's ``least_busy`` selector [15].
 * :class:`RandomPolicy` — load-oblivious control.
 
-FCFS scores every batch through one
-:meth:`~repro.estimator.source.EstimateSource.estimate_block` call —
-batch-capable sources (:class:`~repro.estimator.cache.CachedEstimator`,
-:class:`~repro.cloud.proxy.AnalyticEstimateSource`) vectorize it, and
-legacy pair-wise callables are adapted by
-:func:`~repro.estimator.source.as_estimate_source` (bit-identical, with a
-DeprecationWarning).
+Policies that score take an
+:class:`~repro.estimator.source.EstimateSource` and read it only through
+:meth:`~repro.estimator.source.EstimateSource.estimate_block`; FCFS
+scores a whole batch in one call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +26,7 @@ import numpy as np
 from ..backends.qpu import QPU
 from ..cloud.job import QuantumJob, feasibility_matrix
 from ..cloud.tenancy import tier_sort
-from ..estimator.source import as_estimate_source
+from ..estimator.source import EstimateSource, require_estimate_source
 
 __all__ = [
     "FCFSPolicy",
@@ -41,23 +37,13 @@ __all__ = [
     "RandomPolicy",
 ]
 
-EstimateFn = Callable[[QuantumJob, QPU], tuple[float, float]]
-
-
-def _forward_recalibration(estimate_fn, qpus: list[QPU]) -> None:
-    hook = getattr(estimate_fn, "on_recalibration", None)
-    if hook is not None:
-        hook(qpus)
-
-
 class FCFSPolicy:
     """First-come-first-serve onto the best-fidelity feasible QPU."""
 
     name = "fcfs"
 
-    def __init__(self, estimate_fn: EstimateFn, *, shard_id: int = 0) -> None:
-        self.estimate_fn = estimate_fn
-        self.source = as_estimate_source(estimate_fn)
+    def __init__(self, source: EstimateSource, *, shard_id: int = 0) -> None:
+        self.source = require_estimate_source(source, "source")
         self.shard_id = shard_id
 
     def spawn(self, shard_id: int) -> "FCFSPolicy":
@@ -65,7 +51,7 @@ class FCFSPolicy:
         return type(self)(self.source, shard_id=shard_id)
 
     def on_recalibration(self, qpus: list[QPU]) -> None:
-        _forward_recalibration(self.source, qpus)
+        self.source.on_recalibration(qpus)
 
     def assign(
         self,
@@ -149,16 +135,16 @@ class LeastBusyPolicy:
 
     name = "least_busy"
 
-    def __init__(self, estimate_fn: EstimateFn, *, shard_id: int = 0) -> None:
-        self.estimate_fn = estimate_fn
+    def __init__(self, source: EstimateSource, *, shard_id: int = 0) -> None:
+        self.source = require_estimate_source(source, "source")
         self.shard_id = shard_id
 
     def spawn(self, shard_id: int) -> "LeastBusyPolicy":
         """A per-shard instance sharing this policy's estimate source."""
-        return LeastBusyPolicy(self.estimate_fn, shard_id=shard_id)
+        return LeastBusyPolicy(self.source, shard_id=shard_id)
 
     def on_recalibration(self, qpus: list[QPU]) -> None:
-        _forward_recalibration(self.estimate_fn, qpus)
+        self.source.on_recalibration(qpus)
 
     def assign(
         self,
@@ -175,8 +161,10 @@ class LeastBusyPolicy:
                 out.append((job, None))
                 continue
             best = min(feasible, key=lambda q: local_wait.get(q.name, 0.0))
-            _, sec = self.estimate_fn(job, best)
-            local_wait[best.name] = local_wait.get(best.name, 0.0) + sec
+            _, sec = self.source.estimate_block([job], [best])
+            local_wait[best.name] = local_wait.get(best.name, 0.0) + float(
+                sec[0, 0]
+            )
             out.append((job, best.name))
         return out
 

@@ -155,39 +155,8 @@ class NumpyBackend(ArrayBackend):
         return np
 
 
-def _make_cupy_backend() -> ArrayBackend:
-    """Factory for a CuPy-backed implementation (gated on availability).
-
-    The container image ships without CuPy; the factory stays registered
-    so ``ARRAY_BACKEND=cupy`` fails with an actionable message instead of
-    an unknown-name error, and installs that do have CuPy get the GPU
-    path with zero code changes (CuPy mirrors every primitive above;
-    only the RNG draws go through ``cupy.random`` and ``to_numpy``
-    becomes ``cupy.asnumpy``).
-    """
-    try:
-        import cupy  # noqa: F401
-    except ImportError as exc:  # pragma: no cover - cupy absent in CI
-        raise RuntimeError(
-            "ARRAY_BACKEND=cupy requested but cupy is not installed"
-        ) from exc
-
-    class CupyBackend(ArrayBackend):  # pragma: no cover - cupy absent in CI
-        name = "cupy"
-
-        @property
-        def xp(self):
-            return cupy
-
-        def to_numpy(self, a) -> np.ndarray:
-            return cupy.asnumpy(a)
-
-    return CupyBackend()
-
-
 _FACTORIES: dict[str, Callable[[], ArrayBackend]] = {
     NumpyBackend.name: NumpyBackend,
-    "cupy": _make_cupy_backend,
 }
 
 #: Resolved instances, one per backend name (backends are stateless).

@@ -11,7 +11,8 @@ one place:
 * :func:`assert_runs_identical` — the strict form: two metrics objects
   must produce equal ``deterministic_state()`` dicts (every field except
   the wall-clock timing allowlist).
-* :func:`fake_estimate` / :func:`make_job` / :func:`make_shards` /
+* :class:`ClosedFormEstimate` (and its standard instance
+  :data:`fake_estimate`) / :func:`make_job` / :func:`make_shards` /
   :func:`run_sharded` — the standard deterministic fixtures the suites
   build scenarios from.
 """
@@ -29,11 +30,13 @@ from repro.cloud import (
     SimulatedQPU,
     SimulationConfig,
 )
+from repro.estimator import block_feasibility
 from repro.scheduler import FCFSPolicy, SchedulingTrigger
 from repro.workloads import ghz_linear
 
 __all__ = [
     "SERIES",
+    "ClosedFormEstimate",
     "fake_estimate",
     "make_job",
     "make_shards",
@@ -51,9 +54,41 @@ SERIES = (
 )
 
 
-def fake_estimate(job, qpu):
-    """Deterministic stand-in estimator: distinct per (job width, QPU)."""
-    return 0.5 + 0.4 / (1 + job.num_qubits + len(qpu.name)), 12.0
+class ClosedFormEstimate:
+    """A stateless closed-form ``EstimateSource`` for tests.
+
+    ``fidelity`` and ``seconds`` map ``(widths, qpus)`` — an ``(N, 1)``
+    integer column of job widths and the QPU list — to values that
+    broadcast to ``(N, Q)``.  Infeasible cells stay 0.0, as in every
+    production source.  It keeps no cache and no counters, so runs that
+    share one instance stay bit-identical, ``estimate_cache`` included.
+    """
+
+    def __init__(self, fidelity, seconds):
+        self.fidelity = fidelity
+        self.seconds = seconds
+
+    def estimate_block(self, jobs, qpus, feasible=None):
+        if feasible is None:
+            feasible = block_feasibility(jobs, qpus)
+        widths = np.array([j.num_qubits for j in jobs], dtype=np.int64)[:, None]
+        fid = np.where(feasible, self.fidelity(widths, qpus), 0.0)
+        sec = np.where(feasible, self.seconds(widths, qpus), 0.0)
+        return fid, sec
+
+    def on_recalibration(self, qpus):
+        """Stateless: nothing to drop."""
+
+
+def _name_lengths(qpus):
+    return np.array([len(q.name) for q in qpus], dtype=np.int64)
+
+
+#: Deterministic stand-in estimator: distinct per (job width, QPU name).
+fake_estimate = ClosedFormEstimate(
+    lambda widths, qpus: 0.5 + 0.4 / (1 + widths + _name_lengths(qpus)),
+    lambda widths, qpus: 12.0,
+)
 
 
 def make_job(width: int, *, tenant=None, arrival_time: float = 0.0) -> QuantumJob:

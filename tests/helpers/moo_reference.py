@@ -1,13 +1,16 @@
-"""Independent oracle for NSGA-II ranking: the O(n²) domination matrix.
+"""Independent oracles for the NSGA-II hot path.
 
 The library ranks two objectives with a sort-and-sweep
 (:mod:`repro.moo.sorting`).  These are the general m-objective
 references it replaced, kept verbatim so tests can check the sweep
 against code that shares none of its logic: a pairwise domination
 matrix, fronts peeled off its dominator counters, and per-front
-crowding from :func:`repro.moo.sorting.crowding_distance`.
-:func:`nsga_reference_patch` swaps a whole NSGA-II run onto these
-references (and the scalar evaluate/repair loops) for A/B comparisons.
+crowding from :func:`repro.moo.sorting.crowding_distance`.  The
+scheduling problem's population-flat kernels
+(:mod:`repro.scheduler.formulation`) likewise keep their scalar
+per-individual loops here: :func:`evaluate_reference` and
+:func:`repair_reference`.  :func:`nsga_reference_patch` swaps a whole
+NSGA-II run onto these references for A/B comparisons.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ from repro.moo.sorting import crowding_distance
 
 __all__ = [
     "dominates_matrix",
+    "evaluate_reference",
     "front_ranks",
     "fronts",
     "nsga_reference_patch",
     "pareto_front_mask",
     "rank_and_crowd",
+    "repair_reference",
 ]
 
 
@@ -97,6 +102,46 @@ def rank_and_crowd(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank, crowd
 
 
+def evaluate_reference(data, X: np.ndarray) -> np.ndarray:
+    """The per-individual Eq. 1 objective loop that
+    :func:`repro.scheduler.formulation.evaluate_population` replaced."""
+    pop, n = X.shape
+    q = data.num_qpus
+    rows = np.arange(n)
+    F = np.empty((pop, 2))
+    exec_sel = data.exec_seconds[rows[None, :], X]  # (pop, N)
+    fid_sel = data.fidelity[rows[None, :], X]
+    wait_sel = data.waiting_seconds[X]
+    for p in range(pop):
+        # Total batch execution time landing on each QPU.
+        totals = np.bincount(X[p], weights=exec_sel[p], minlength=q)
+        jct = wait_sel[p] + totals[X[p]]
+        F[p, 0] = jct.mean()
+        F[p, 1] = 1.0 - fid_sel[p].mean()
+    return F
+
+
+def repair_reference(
+    data,
+    X: np.ndarray,
+    rng: np.random.Generator,
+    feasible_lists: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """The scalar per-violation repair loop that
+    :func:`repro.scheduler.formulation.repair_population` replaced."""
+    if feasible_lists is None:
+        feasible_lists = [
+            np.where(data.feasible[i])[0] for i in range(data.num_jobs)
+        ]
+    X = np.clip(X, 0, data.num_qpus - 1)
+    bad = ~data.feasible[np.arange(data.num_jobs)[None, :], X]
+    if bad.any():
+        for p, i in zip(*np.nonzero(bad)):
+            options = feasible_lists[i]
+            X[p, i] = options[int(rng.integers(len(options)))]
+    return X
+
+
 @contextlib.contextmanager
 def nsga_reference_patch():
     """Swap the NSGA-II hot path back to the pre-kernel reference loops.
@@ -109,11 +154,7 @@ def nsga_reference_patch():
     only difference a before/after timing sees is the kernels.
     """
     from repro.moo.nsga2 import NSGA2
-    from repro.scheduler.formulation import (
-        SchedulingProblem,
-        evaluate_reference,
-        repair_reference,
-    )
+    from repro.scheduler.formulation import SchedulingProblem
 
     def ref_evaluate(self, X):
         return evaluate_reference(self.data, X)

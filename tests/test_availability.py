@@ -6,6 +6,7 @@ counters, and leave in-flight work untouched."""
 
 import pytest
 
+from helpers.determinism import fake_estimate
 from repro.backends import default_fleet
 from repro.cloud import (
     AvailabilityModel,
@@ -23,10 +24,6 @@ from repro.cloud import (
 )
 from repro.scheduler import FCFSPolicy
 from repro.workloads import ghz_linear
-
-
-def _fake_estimate(job, qpu):
-    return 0.5 + 0.4 / (1 + job.num_qubits + len(qpu.name)), 12.0
 
 
 def _job(width: int) -> QuantumJob:
@@ -147,7 +144,7 @@ class TestOnlineAwareRouting:
                 SimulatedQPU(q)
                 for q in default_fleet(seed=7, names=list(names))
             ]
-            shards.append(FleetShard(i, backends, FCFSPolicy(_fake_estimate)))
+            shards.append(FleetShard(i, backends, FCFSPolicy(fake_estimate)))
         return shards
 
     def test_offline_wide_qpu_redirects_routing(self):
@@ -192,7 +189,7 @@ class TestSimulatorIntegration:
         fleet = default_fleet(seed=7, names=self.NAMES)
         sim = CloudSimulator(
             fleet,
-            FCFSPolicy(_fake_estimate),
+            FCFSPolicy(fake_estimate),
             ExecutionModel(seed=5),
             config=SimulationConfig(duration_seconds=duration, seed=5),
             availability=availability,
@@ -262,7 +259,7 @@ class TestSimulatorIntegration:
         too_wide.quantum_job.arrival_time = 15.0
         sim = CloudSimulator(
             fleet,
-            BatchedFCFSPolicy(_fake_estimate),
+            BatchedFCFSPolicy(fake_estimate),
             ExecutionModel(seed=5),
             trigger=SchedulingTrigger(queue_limit=100, interval_seconds=60),
             config=SimulationConfig(duration_seconds=900.0, seed=5),
@@ -300,7 +297,7 @@ class TestSimulatorIntegration:
             )
         sim = CloudSimulator(
             fleet,
-            BatchedFCFSPolicy(_fake_estimate),
+            BatchedFCFSPolicy(fake_estimate),
             ExecutionModel(seed=5),
             trigger=SchedulingTrigger(queue_limit=100, interval_seconds=60),
             config=SimulationConfig(duration_seconds=900.0, seed=5),
@@ -327,7 +324,7 @@ class TestSimulatorIntegration:
                 seed=7, names=["auckland", "lagos", "guadalupe"]
             )
         }
-        policy = BatchedFCFSPolicy(_fake_estimate)
+        policy = BatchedFCFSPolicy(fake_estimate)
         shards = [
             FleetShard(
                 0,
@@ -352,7 +349,7 @@ class TestSimulatorIntegration:
         fleet = default_fleet(seed=7, names=self.NAMES)
         sim = CloudSimulator(
             fleet,
-            FCFSPolicy(_fake_estimate),
+            FCFSPolicy(fake_estimate),
             ExecutionModel(seed=5),
             config=SimulationConfig(duration_seconds=900.0, seed=5),
         )

@@ -4,6 +4,7 @@ generation, the simulator loop, and the imbalance study."""
 import numpy as np
 import pytest
 
+from helpers.determinism import ClosedFormEstimate
 from repro.backends import default_fleet, get_model
 from repro.circuits import compute_metrics
 from repro.cloud import (
@@ -23,8 +24,10 @@ from repro.scheduler import FCFSPolicy, LeastBusyPolicy, QonductorScheduler, Sch
 from repro.workloads import ghz_linear, qaoa_maxcut
 
 
-def _fake_estimate(job, qpu):
-    return 0.8, 12.0
+#: Constant estimates: every feasible (job, QPU) pair scores the same.
+_fake_estimate = ClosedFormEstimate(
+    lambda widths, qpus: 0.8, lambda widths, qpus: 12.0
+)
 
 
 class TestJob:
@@ -298,6 +301,28 @@ class TestLoadGenerator:
             LoadGenerator(
                 arrival_process="mmpp", mean_burst_seconds=-1.0
             ).generate(60.0)
+
+    @pytest.mark.parametrize("diurnal", [True, False])
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0, -5])
+    def test_bad_rate_rejected_at_construction(self, rate, diurnal):
+        # NaN/inf used to make generate() loop forever; 0 and -5 raised
+        # ZeroDivisionError / numpy's "scale < 0" from inside the loop.
+        with pytest.raises(ValueError, match="mean_rate_per_hour"):
+            LoadGenerator(mean_rate_per_hour=rate, diurnal=diurnal)
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("burst_rate_multiplier", float("inf")),
+            ("burst_rate_multiplier", float("nan")),
+            ("mean_calm_seconds", float("nan")),
+            ("mean_calm_seconds", float("inf")),
+            ("mean_burst_seconds", float("nan")),
+        ],
+    )
+    def test_bad_mmpp_knob_rejected_at_construction(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            LoadGenerator(arrival_process="mmpp", **{knob: value})
 
     def test_poisson_stream_unchanged_by_mmpp_support(self):
         """The default process draws exactly the stream it always did —

@@ -252,11 +252,8 @@ from repro.cloud.execution import (  # noqa: E402
     SHOT_OVERHEAD_US,
 )
 from repro.cloud.job import feasibility_matrix  # noqa: E402
-from repro.estimator import (  # noqa: E402
-    PairwiseEstimateSource,
-    as_estimate_source,
-    block_feasibility,
-)
+from repro.estimator import block_feasibility  # noqa: E402
+from repro.estimator.source import require_estimate_source  # noqa: E402
 from repro.simulation import esp, esp_to_hellinger  # noqa: E402
 from repro.workloads import ghz  # noqa: E402
 
@@ -266,51 +263,30 @@ def _jobs_with_circuits(widths=(2, 4, 3, 6, 27)):
 
 
 class TestEstimateSourceAdapter:
-    def test_bare_callable_warns_and_adapts(self, fleet):
-        jobs = _jobs_with_circuits()
-        with pytest.warns(DeprecationWarning, match="estimate_block"):
-            source = as_estimate_source(lambda job, qpu: (0.8, 5.0))
-        assert isinstance(source, PairwiseEstimateSource)
-        assert source(jobs[0], fleet[0]) == (0.8, 5.0)
-        fid, sec = source.estimate_block(jobs, fleet)
-        feas = feasibility_matrix(jobs, fleet)
-        assert np.array_equal(fid, np.where(feas, 0.8, 0.0))
-        assert np.array_equal(sec, np.where(feas, 5.0, 0.0))
-
-    def test_estimate_for_qpu_object_warns_and_adapts(self, fleet):
-        class Legacy:
-            def estimate_for_qpu(self, job, qpu):
-                return 0.7, 3.0
-
-        jobs = _jobs_with_circuits((2, 3))
-        with pytest.warns(DeprecationWarning, match="estimate_for_qpu"):
-            source = as_estimate_source(Legacy())
-        fid, sec = source.estimate_block(jobs, fleet)
-        assert fid[0, 0] == 0.7 and sec[0, 0] == 3.0
+    """The policy-side gate: only ``EstimateSource`` objects get in."""
 
     def test_block_capable_source_passes_through(self, trained):
         cached = trained.cached()
-        assert as_estimate_source(cached) is cached
-        assert as_estimate_source(trained) is trained
+        assert require_estimate_source(cached, "source") is cached
+        assert require_estimate_source(trained, "source") is trained
 
     def test_unadaptable_raises(self):
-        with pytest.raises(TypeError):
-            as_estimate_source(42)
+        with pytest.raises(TypeError, match="^source must be"):
+            require_estimate_source(42, "source")
 
-    def test_adapter_forwards_recalibration(self):
-        seen = []
+    def test_resource_estimator_drives_least_busy(self, trained, fleet):
+        from repro.scheduler import LeastBusyPolicy
 
-        class Legacy:
-            def estimate_for_qpu(self, job, qpu):
-                return 0.5, 1.0
+        jobs = _jobs_with_circuits((2, 3, 4))
+        out = LeastBusyPolicy(trained).assign(jobs, fleet, {})
+        assert all(name is not None for _, name in out)
 
-            def on_recalibration(self, qpus):
-                seen.append(len(qpus))
-
-        with pytest.warns(DeprecationWarning):
-            source = as_estimate_source(Legacy())
-        source.on_recalibration([1, 2, 3])
-        assert seen == [3]
+    def test_resource_estimator_recalibration_refreshes_templates(
+        self, trained, fleet
+    ):
+        before = trained.templates
+        trained.cached().on_recalibration(fleet)
+        assert trained.templates is not before
 
     def test_block_feasibility_matches_cloud_matrix(self, fleet):
         jobs = _jobs_with_circuits()
@@ -342,15 +318,6 @@ class TestEstimateBlock:
             np.testing.assert_allclose(fid, ref_fid, rtol=0, atol=1e-12)
             np.testing.assert_allclose(sec, ref_sec, rtol=0, atol=1e-12)
         assert cached.stats.hits > 0
-
-    def test_estimate_matrix_alias_warns(self, trained, fleet):
-        jobs = _jobs_with_circuits()
-        cached = trained.cached()
-        block = cached.estimate_block(jobs, fleet)
-        with pytest.warns(DeprecationWarning, match="estimate_block"):
-            alias = cached.estimate_matrix(jobs, fleet)
-        assert np.array_equal(block[0], alias[0])
-        assert np.array_equal(block[1], alias[1])
 
 
 class TestAnalyticEstimateSource:

@@ -9,6 +9,7 @@ scheduler decisions with and without the cache on a small fleet.
 import numpy as np
 import pytest
 
+from helpers.determinism import fake_estimate
 from repro.backends import default_fleet
 from repro.cloud import (
     CloudSimulator,
@@ -21,11 +22,6 @@ from repro.estimator import CachedEstimator, EstimateCache
 from repro.experiments.common import trained_estimator
 from repro.scheduler import FCFSPolicy, QonductorScheduler, SchedulingTrigger
 from repro.workloads import WorkloadSampler, ghz_linear
-
-
-def _fake_estimate(job, qpu):
-    # Varies by pair so assignment decisions are not degenerate.
-    return 0.5 + 0.4 / (1 + job.num_qubits + len(qpu.name)), 12.0
 
 
 def _run(policy_maker, *, seed=4, duration=900.0, rate=600, recal=None):
@@ -48,7 +44,7 @@ class TestEventCore:
     def test_deterministic_under_seeded_arrivals(self):
         series = []
         for _ in range(2):
-            _, m = _run(lambda: FCFSPolicy(_fake_estimate))
+            _, m = _run(lambda: FCFSPolicy(fake_estimate))
             series.append(m)
         a, b = series
         assert a.completed_jobs == b.completed_jobs
@@ -66,7 +62,7 @@ class TestEventCore:
     def test_completion_aggregates_match_rescan(self):
         """Running aggregates must equal the definitional rescan metrics."""
         duration = 900.0
-        apps, m = _run(lambda: FCFSPolicy(_fake_estimate), duration=duration)
+        apps, m = _run(lambda: FCFSPolicy(fake_estimate), duration=duration)
         done = [
             a
             for a in apps
@@ -99,7 +95,7 @@ class TestEventCore:
         Completion now means the COMPLETION event folded inside the run;
         everything handed to a device is ``dispatched_jobs``."""
         duration = 900.0
-        apps, m = _run(lambda: FCFSPolicy(_fake_estimate), duration=duration)
+        apps, m = _run(lambda: FCFSPolicy(fake_estimate), duration=duration)
         in_horizon = [
             a
             for a in apps
@@ -123,7 +119,7 @@ class TestEventCore:
         fleet = default_fleet(seed=7, names=["auckland", "lagos"])
         sim = CloudSimulator(
             fleet,
-            FCFSPolicy(_fake_estimate),
+            FCFSPolicy(fake_estimate),
             ExecutionModel(seed=5),
             config=SimulationConfig(duration_seconds=600.0, seed=5),
         )
@@ -139,7 +135,7 @@ class TestEventCore:
         assert m.dispatched_jobs == 3
 
     def test_event_counts(self):
-        apps, m = _run(lambda: FCFSPolicy(_fake_estimate))
+        apps, m = _run(lambda: FCFSPolicy(fake_estimate))
         # Arrivals + at least the in-horizon completions + samples.
         assert m.events_processed > len(apps)
         assert m.wall_seconds > 0
@@ -150,7 +146,7 @@ class TestEventCore:
         fleet = default_fleet(seed=7, names=["lagos"])
         sim = CloudSimulator(
             fleet,
-            QonductorScheduler(_fake_estimate, seed=1, max_generations=5),
+            QonductorScheduler(fake_estimate, seed=1, max_generations=5),
             ExecutionModel(seed=5),
             trigger=SchedulingTrigger(queue_limit=10, interval_seconds=60),
             config=SimulationConfig(duration_seconds=600.0, seed=1),
@@ -165,7 +161,7 @@ class TestEventCore:
         fleet = default_fleet(seed=7, names=["lagos"])
         sim = CloudSimulator(
             fleet,
-            FCFSPolicy(_fake_estimate),
+            FCFSPolicy(fake_estimate),
             ExecutionModel(seed=5),
             config=SimulationConfig(
                 duration_seconds=300.0, recalibrate_every_seconds=100.0, seed=1
@@ -447,7 +443,7 @@ class TestCacheEquivalence:
         estimator, fleet, jobs = setup
         waiting = {q.name: 0.0 for q in fleet}
         plain = QonductorScheduler(
-            estimator.estimate_for_qpu, seed=3, max_generations=10
+            estimator, seed=3, max_generations=10
         ).schedule(list(jobs), fleet, dict(waiting))
         cached_fn = estimator.cached()
         cached = QonductorScheduler(

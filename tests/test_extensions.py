@@ -6,6 +6,7 @@ against the trajectory simulator."""
 import numpy as np
 import pytest
 
+from helpers.determinism import ClosedFormEstimate
 from repro.backends import default_fleet
 from repro.cloud.execution import MITIGATION_EFFECTS, ExecutionModel
 from repro.cloud.job import QuantumJob
@@ -53,7 +54,9 @@ class TestReservations:
         mgr.reserve("auckland", 0.0, 1000.0)
         mgr.apply(fleet, now=10.0)
         sched = QonductorScheduler(
-            lambda j, q: (0.8, 10.0), seed=1, max_generations=5
+            ClosedFormEstimate(lambda w, qpus: 0.8, lambda w, qpus: 10.0),
+            seed=1,
+            max_generations=5,
         )
         jobs = [
             QuantumJob.from_circuit(ghz_linear(5), keep_circuit=False)

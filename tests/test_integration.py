@@ -39,10 +39,10 @@ class TestEndToEndScheduling:
             apps = gen.generate(duration)
             if policy_cls is QonductorScheduler:
                 policy = QonductorScheduler(
-                    estimator.estimate_for_qpu, seed=5, max_generations=15
+                    estimator.cached(), seed=5, max_generations=15
                 )
             else:
-                policy = FCFSPolicy(estimator.estimate_for_qpu)
+                policy = FCFSPolicy(estimator.cached())
             sim = CloudSimulator(
                 fleet,
                 policy,
@@ -65,7 +65,7 @@ class TestEndToEndScheduling:
         fleet = default_fleet(seed=7, names=NAMES)
         em = ExecutionModel(seed=21)
         scheduler = QonductorScheduler(
-            estimator.estimate_for_qpu, preference="fidelity", seed=2,
+            estimator.cached(), preference="fidelity", seed=2,
             max_generations=15,
         )
         from repro.cloud.job import QuantumJob

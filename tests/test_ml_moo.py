@@ -37,10 +37,8 @@ from repro.scheduler.formulation import (
     SchedulingInput,
     SchedulingProblem,
     evaluate_population,
-    evaluate_reference,
     pack_feasible,
     repair_population,
-    repair_reference,
 )
 
 _settings = settings(max_examples=40, deadline=None, derandomize=True)
@@ -452,7 +450,7 @@ class TestPopulationKernels:
             data = _random_input(rng, n, q)
             X = rng.integers(0, q, size=(pop, n))
             assert np.array_equal(
-                evaluate_population(data, X), evaluate_reference(data, X)
+                evaluate_population(data, X), moo_reference.evaluate_reference(data, X)
             )
 
     def test_repair_matches_reference_and_stream(self):
@@ -466,7 +464,7 @@ class TestPopulationKernels:
             r_kernel = np.random.default_rng(seed + 1)
             r_ref = np.random.default_rng(seed + 1)
             out_kernel = repair_population(data, X.copy(), r_kernel)
-            out_ref = repair_reference(data, X.copy(), r_ref)
+            out_ref = moo_reference.repair_reference(data, X.copy(), r_ref)
             assert np.array_equal(out_kernel, out_ref)
             assert data.feasible[
                 np.arange(n)[None, :], out_kernel
@@ -494,83 +492,12 @@ class TestPopulationKernels:
         data = _random_input(rng, n, q, density=density)
         X = rng.integers(0, q, size=(pop, n))
         assert np.array_equal(
-            evaluate_population(data, X), evaluate_reference(data, X)
+            evaluate_population(data, X), moo_reference.evaluate_reference(data, X)
         )
         r1 = np.random.default_rng(seed ^ 0x5EED)
         r2 = np.random.default_rng(seed ^ 0x5EED)
         assert np.array_equal(
             repair_population(data, X.copy(), r1),
-            repair_reference(data, X.copy(), r2),
+            moo_reference.repair_reference(data, X.copy(), r2),
         )
         assert r1.bit_generator.state == r2.bit_generator.state
-
-
-class TestWarmStartProblem:
-    """Warm-row validation and fill semantics in SchedulingProblem."""
-
-    def _data(self, n=8, q=4, seed=0, density=1.0):
-        return _random_input(np.random.default_rng(seed), n, q, density)
-
-    def test_warm_rows_seed_population(self):
-        data = self._data()
-        warm = np.full((3, data.num_jobs), 2, dtype=np.int64)
-        prob = SchedulingProblem(data, seed=1, warm=warm)
-        X = prob.sample(10, np.random.default_rng(5))
-        assert np.array_equal(X[2:5], warm)
-
-    def test_missing_genes_fill_cycles_extremes_and_random(self):
-        data = self._data()
-        cold = SchedulingProblem(data, seed=1)
-        Xc = cold.sample(10, np.random.default_rng(5))
-        warm = np.full((3, data.num_jobs), -1, dtype=np.int64)
-        warm[:, 0] = 1  # one carried gene per row, rest missing
-        prob = SchedulingProblem(data, seed=1, warm=warm)
-        X = prob.sample(10, np.random.default_rng(5))
-        # Row modes cycle: fidelity extreme, JCT extreme, random slot.
-        for k, base in enumerate((Xc[0], Xc[1], Xc[2 + 2])):
-            assert X[2 + k, 0] == 1
-            assert np.array_equal(X[2 + k, 1:], base[1:])
-
-    def test_warm_never_consumes_rng(self):
-        data = self._data()
-        warm = np.zeros((2, data.num_jobs), dtype=np.int64)
-        cold_rng = np.random.default_rng(5)
-        warm_rng = np.random.default_rng(5)
-        Xc = SchedulingProblem(data, seed=1).sample(8, cold_rng)
-        Xw = SchedulingProblem(data, seed=1, warm=warm).sample(8, warm_rng)
-        # Extremes and rows past the warm block are untouched...
-        assert np.array_equal(Xc[:2], Xw[:2])
-        assert np.array_equal(Xc[4:], Xw[4:])
-        # ...and the stream position is identical afterwards.
-        assert (
-            cold_rng.bit_generator.state == warm_rng.bit_generator.state
-        )
-
-    def test_warm_validation(self):
-        data = self._data(density=0.6)
-        with pytest.raises(ValueError, match="warm-start rows"):
-            SchedulingProblem(data, warm=np.zeros((2, 3), dtype=np.int64))
-        out_of_range = np.full((1, data.num_jobs), data.num_qpus)
-        with pytest.raises(ValueError, match="out of QPU range"):
-            SchedulingProblem(data, warm=out_of_range)
-        infeasible = np.zeros((1, data.num_jobs), dtype=np.int64)
-        bad_job = int(np.flatnonzero(~data.feasible[:, 0])[0])
-        infeasible[0, bad_job] = 0
-        with pytest.raises(ValueError, match="feasible or -1"):
-            SchedulingProblem(data, warm=infeasible)
-
-    def test_all_missing_rows_dropped(self):
-        data = self._data()
-        warm = np.full((3, data.num_jobs), -1, dtype=np.int64)
-        warm[1, 0] = 2  # only row 1 carries anything
-        prob = SchedulingProblem(data, seed=1, warm=warm)
-        assert prob._warm is not None and len(prob._warm) == 1
-        empty = np.full((2, data.num_jobs), -1, dtype=np.int64)
-        assert SchedulingProblem(data, seed=1, warm=empty)._warm is None
-
-    def test_warm_capped_by_population(self):
-        data = self._data()
-        warm = np.full((20, data.num_jobs), 1, dtype=np.int64)
-        prob = SchedulingProblem(data, seed=1, warm=warm)
-        X = prob.sample(6, np.random.default_rng(5))
-        assert np.array_equal(X[2:], warm[:4])

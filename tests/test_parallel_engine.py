@@ -231,41 +231,6 @@ class TestBackendBitIdentity:
         )
         assert_runs_identical(serial, threaded)
 
-    @pytest.mark.parametrize("backend", ["thread:4", "process:2"])
-    def test_qonductor_warm_start_multi_shard(self, backend):
-        """Warm-started cycles stay backend-independent: the warm rows
-        ride inside the frozen OptimizationTask, so whichever worker runs
-        a cycle sees the same seed population as a serial run."""
-        serial = run_sharded(
-            QonductorScheduler(
-                fake_estimate, seed=5, max_generations=4, warm_start=True
-            ),
-            "serial",
-        )
-        parallel = run_sharded(
-            QonductorScheduler(
-                fake_estimate, seed=5, max_generations=4, warm_start=True
-            ),
-            backend,
-        )
-        assert_runs_identical(serial, parallel)
-        assert serial.scheduling_cycles >= 4
-
-    def test_warm_start_rerun_identical(self):
-        a = run_sharded(
-            QonductorScheduler(
-                fake_estimate, seed=5, max_generations=4, warm_start=True
-            ),
-            "serial",
-        )
-        b = run_sharded(
-            QonductorScheduler(
-                fake_estimate, seed=5, max_generations=4, warm_start=True
-            ),
-            "serial",
-        )
-        assert_runs_identical(a, b)
-
     def test_seeded_rerun_identical_on_same_backend(self):
         a = run_sharded(
             QonductorScheduler(fake_estimate, seed=5, max_generations=4),

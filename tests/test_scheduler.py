@@ -5,8 +5,10 @@ crossovers."""
 import numpy as np
 import pytest
 
+from helpers.determinism import ClosedFormEstimate
 from repro.backends import default_fleet
 from repro.cloud.job import QuantumJob
+from repro.estimator import CachedEstimator
 from repro.scheduler import (
     ClassicalNode,
     ClassicalRequest,
@@ -33,10 +35,15 @@ def _make_input(n_jobs=6, n_qpus=3, seed=0):
     return SchedulingInput(fid, sec, wait, feas)
 
 
-def _fake_estimate(job, qpu):
-    """Deterministic estimate keyed on device quality (for policy tests)."""
-    quality = qpu.calibration.quality_factor
-    return 1.0 / (1.0 + quality), 10.0 + job.num_qubits
+def _inverse_quality(widths, qpus):
+    quality = np.array([q.calibration.quality_factor for q in qpus])
+    return 1.0 / (1.0 + quality)
+
+
+#: Deterministic estimates keyed on device quality (for policy tests).
+_fake_estimate = ClosedFormEstimate(
+    _inverse_quality, lambda widths, qpus: 10.0 + widths
+)
 
 
 class TestFormulation:
@@ -149,108 +156,6 @@ class TestQonductorScheduler:
         assert len(result.front_exec_seconds) == len(result.front_F)
 
 
-class TestWarmStart:
-    """Cross-cycle Pareto warm-starting on the Qonductor scheduler."""
-
-    @pytest.fixture(scope="class")
-    def fleet(self):
-        return default_fleet(seed=7, names=["auckland", "algiers", "lagos"])
-
-    def _jobs(self, n=10, width=5):
-        return [
-            QuantumJob.from_circuit(
-                ghz_linear(width), shots=1000, keep_circuit=False
-            )
-            for _ in range(n)
-        ]
-
-    def _run_cycle(self, sched, jobs, qpus):
-        from repro.scheduler.cycle import run_optimization
-
-        plan = sched.begin_cycle(jobs, qpus, {})
-        result = run_optimization(plan.task) if plan.task else None
-        sched.finish_cycle(plan, result)
-        return plan
-
-    def test_off_by_default(self, fleet):
-        sched = QonductorScheduler(_fake_estimate, seed=1, max_generations=4)
-        jobs = self._jobs()
-        self._run_cycle(sched, jobs, fleet)
-        plan = sched.begin_cycle(jobs, fleet, {})
-        assert plan.task.warm_X is None
-
-    def test_first_cycle_has_no_memory(self, fleet):
-        sched = QonductorScheduler(
-            _fake_estimate, seed=1, max_generations=4, warm_start=True
-        )
-        plan = sched.begin_cycle(self._jobs(), fleet, {})
-        assert plan.task.warm_X is None
-
-    def test_second_cycle_carries_feasible_rows(self, fleet):
-        sched = QonductorScheduler(
-            _fake_estimate, seed=1, max_generations=4, warm_start=True
-        )
-        jobs = self._jobs()
-        self._run_cycle(sched, jobs, fleet)
-        # Half the batch persists, half is new.
-        next_jobs = jobs[:5] + self._jobs(5)
-        plan = sched.begin_cycle(next_jobs, fleet, {})
-        warm = plan.task.warm_X
-        assert warm is not None
-        assert warm.shape[1] == len(plan.schedulable)
-        assert warm.shape[0] <= sched.pop_size - 2
-        data = plan.task.data
-        known = warm >= 0
-        assert known.any()
-        cols = np.broadcast_to(np.arange(warm.shape[1]), warm.shape)
-        assert data.feasible[cols[known], warm[known]].all()
-        # New jobs (columns 5..) carry nothing.
-        assert (warm[:, 5:] == -1).all()
-
-    def test_carried_genes_follow_qpu_names(self, fleet):
-        """Warm genes remap by QPU *name*: reordering the fleet between
-        cycles moves every carried gene to the QPU's new column."""
-        sched = QonductorScheduler(
-            _fake_estimate, seed=1, max_generations=4, warm_start=True
-        )
-        jobs = self._jobs()
-        self._run_cycle(sched, jobs, fleet)
-        prev_X, prev_job_ids, prev_names = sched._warm_memory
-        reordered = list(reversed(fleet))
-        plan = sched.begin_cycle(jobs, reordered, {})
-        warm = plan.task.warm_X
-        new_index = {q.name: k for k, q in enumerate(reordered)}
-        col_of = {jid: c for c, jid in enumerate(prev_job_ids)}
-        for i, job in enumerate(plan.schedulable):
-            for r in range(warm.shape[0]):
-                prev_gene = prev_X[r, col_of[job.job_id]]
-                expected = new_index[prev_names[prev_gene]]
-                if plan.task.data.feasible[i, expected]:
-                    assert warm[r, i] == expected
-
-    def test_warm_run_optimization_deterministic(self, fleet):
-        from repro.scheduler.cycle import run_optimization
-
-        sched = QonductorScheduler(
-            _fake_estimate, seed=1, max_generations=6, warm_start=True
-        )
-        jobs = self._jobs()
-        self._run_cycle(sched, jobs, fleet)
-        plan = sched.begin_cycle(jobs[:7] + self._jobs(3), fleet, {})
-        assert plan.task.warm_X is not None
-        a = run_optimization(plan.task)
-        b = run_optimization(plan.task)
-        assert np.array_equal(a.X, b.X) and np.array_equal(a.F, b.F)
-        assert a.generations == b.generations
-
-    def test_spawn_propagates_warm_start_flag(self, fleet):
-        sched = QonductorScheduler(
-            _fake_estimate, seed=1, warm_start=True
-        )
-        assert sched.spawn(2).warm_start is True
-        assert QonductorScheduler(_fake_estimate, seed=1).spawn(2).warm_start is False
-
-
 class TestClassicalScheduler:
     def _nodes(self):
         return [
@@ -323,6 +228,18 @@ class TestBaselinePolicies:
         assignments = policy.assign(jobs, fleet, {q.name: 0.0 for q in fleet})
         used = {name for _, name in assignments}
         assert len(used) >= 2
+
+    @pytest.mark.parametrize(
+        "policy_cls", [FCFSPolicy, LeastBusyPolicy, QonductorScheduler]
+    )
+    def test_bare_callable_source_rejected(self, policy_cls):
+        def fn(job, qpu):
+            return 0.8, 12.0
+
+        with pytest.raises(TypeError, match=r"source.*CachedEstimator\(fn\)"):
+            policy_cls(fn)
+        # The remedy the message names is accepted.
+        policy_cls(CachedEstimator(fn))
 
     def test_random_policy_feasible_only(self, fleet):
         policy = RandomPolicy(seed=0)
